@@ -14,9 +14,9 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow" -x
 
 lint-self:          ## lint the repo itself (ruff when available)
-	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples tools
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks; \
+		ruff check src tests benchmarks tools; \
 	else \
 		echo "ruff not installed; ran compileall only"; \
 	fi

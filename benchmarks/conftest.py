@@ -6,15 +6,27 @@ representative 6-program slice so ``pytest benchmarks/ --benchmark-only``
 finishes in minutes; set ``REPRO_SUITE`` to a comma-separated benchmark
 list, or ``REPRO_SUITE=all`` for the full 19-program reproduction used
 in EXPERIMENTS.md.
+
+The throughput gates compare against rates recorded on one host; the
+baseline helpers below load such a file only when it was recorded on
+the current interpreter and machine, and re-record it otherwise. The
+oracles those gates measure (``tests/oracles.py``) are importable
+because the repository root is put on ``sys.path`` here.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import platform
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.workloads import BENCHMARKS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 DEFAULT_SLICE = ("compress", "grep", "xlisp", "alvinn", "spice", "tomcatv")
 
@@ -55,3 +67,35 @@ def suite() -> tuple[str, ...]:
     if unknown:
         raise pytest.UsageError(f"unknown benchmarks in REPRO_SUITE: {unknown}")
     return names
+
+
+def fingerprint() -> dict:
+    """The host facts a recorded throughput baseline is valid for."""
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+    }
+
+
+def load_host_baseline(path: Path, schema: str, workloads) -> dict | None:
+    """The baseline document at ``path``, or None when it is missing,
+    has another schema or workload list, or was recorded on another
+    host (callers then re-measure instead of comparing)."""
+    if not path.exists():
+        return None
+    payload = json.loads(path.read_text())
+    if (payload.get("schema") != schema
+            or payload.get("fingerprint") != fingerprint()
+            or tuple(payload.get("workloads", ())) != tuple(workloads)):
+        return None
+    return payload
+
+
+def record_host_baseline(path: Path, schema: str, workloads,
+                         fields: dict) -> dict:
+    """Write ``fields`` as this host's baseline document and return it."""
+    payload = {"schema": schema, "workloads": list(workloads), **fields,
+               "fingerprint": fingerprint()}
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return payload

@@ -8,24 +8,23 @@
 
 from dataclasses import replace
 
-from repro.analysis.prediction import TraceAnalyzer, analyze_program
+from repro.analysis.prediction import analyze_program
 from repro.analysis.reporting import format_table
 from repro.compiler import CompilerOptions, FacSoftwareOptions
+from repro.cpu import CPU
 from repro.fac.config import FacConfig
 from repro.pipeline import MachineConfig
 from repro.pipeline.pipeline import simulate_program
 from repro.workloads import build_benchmark
+from tests.oracles import TraceAnalyzer, step_records
 
 ABLATION_PROGRAMS = ("compress", "xlisp", "spice")
 
 
 def _failure_rate(program, full_tag_add: bool) -> float:
-    from repro.cpu import CPU
-
-    cpu = CPU(program)
     analyzer = TraceAnalyzer(block_sizes=(32,), full_tag_add=full_tag_add)
-    while not cpu.halted:
-        analyzer.observe(cpu.step())
+    for rec in step_records(CPU(program)):
+        analyzer.observe(rec)
     stats = analyzer.stats[32]
     return stats.overall_failure_rate
 
@@ -161,12 +160,9 @@ def test_cache_size_sensitivity(benchmark):
             program = build_benchmark(name, software_support=False)
             row = [name]
             for size in sizes:
-                from repro.cpu import CPU
-
-                cpu = CPU(program)
                 analyzer = TraceAnalyzer(block_sizes=(32,), cache_size=size)
-                while not cpu.halted:
-                    analyzer.observe(cpu.step())
+                for rec in step_records(CPU(program)):
+                    analyzer.observe(rec)
                 row.append(100 * analyzer.stats[32].overall_failure_rate)
             rows.append(row)
         return rows

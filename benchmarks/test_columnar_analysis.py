@@ -4,33 +4,33 @@ The vectorized batch analyzer (:mod:`repro.analysis.batch`) must beat
 the scalar record-replay analyzer by **>=10x** on the suite's largest
 traces, measured end to end: trace decode plus the full analysis
 (reference profile, both block-size prediction passes, caches, TLB).
-The scalar engine's rate is recorded in
+The scalar analyzer's rate is recorded in
 ``benchmarks/analysis_baseline.json``; like ``sim_baseline.json`` the
 file carries a host fingerprint, and on a different interpreter or
-machine the gate re-measures the scalar engine (still available via
-``engine="records"``) and re-records instead of comparing apples to
-oranges. Delete the file to force re-recording.
+machine the gate re-measures the scalar oracle (``replay_analysis``
+from ``tests/oracles.py``) and re-records instead of comparing apples
+to oranges. Delete the file to force re-recording.
 
 The ``pytest-benchmark`` micro-benchmarks at the bottom report absolute
-rates for both engines plus the standalone decode and analytical-model
+rates for both analyzers plus the standalone decode and analytical-model
 sweep costs.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import time
 from pathlib import Path
 
 import pytest
 
+from conftest import load_host_baseline, record_host_baseline
 from repro.analysis.batch import analyze_trace_columns
 from repro.analysis.prediction import analyze_trace
 from repro.cache.analytical import AnalyticalCacheModel
 from repro.cpu.coltrace import decode_tracefile
 from repro.cpu.tracefile import record_trace
 from repro.workloads import build_benchmark
+from tests.oracles import replay_analysis
 
 BASELINE_PATH = Path(__file__).parent / "analysis_baseline.json"
 BASELINE_SCHEMA = "repro.analysis-baseline/1"
@@ -38,14 +38,6 @@ BASELINE_SCHEMA = "repro.analysis-baseline/1"
 WORKLOADS = ("compress", "tomcatv")
 SPEEDUP_TARGET = 10.0
 REPEATS = 3
-
-
-def fingerprint() -> dict:
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-    }
 
 
 @pytest.fixture(scope="module")
@@ -63,41 +55,30 @@ def traced(tmp_path_factory):
 
 def analysis_rate(traced, engine: str) -> float:
     """Best-of-N analysis throughput (trace records/s), decode/replay
-    included."""
+    included. ``engine`` is ``"columnar"`` (the product) or
+    ``"records"`` (the scalar oracle)."""
+    analyze = analyze_trace if engine == "columnar" else replay_analysis
     best = 0.0
     for __ in range(REPEATS):
         records = 0
         start = time.perf_counter()
         for program, path, count in traced:
-            analyze_trace(program, path, engine=engine)
+            analyze(program, path)
             records += count
         elapsed = time.perf_counter() - start
         best = max(best, records / elapsed)
     return best
 
 
-def record_baseline(traced) -> dict:
-    payload = {
-        "schema": BASELINE_SCHEMA,
-        "workloads": list(WORKLOADS),
-        "engine": "records",
-        "records_per_second": analysis_rate(traced, "records"),
-        "fingerprint": fingerprint(),
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                             + "\n")
-    return payload
-
-
 def scalar_baseline(traced) -> dict:
-    """The scalar engine's recorded rate, re-measured off-host."""
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        if (baseline.get("schema") == BASELINE_SCHEMA
-                and baseline.get("fingerprint") == fingerprint()
-                and tuple(baseline.get("workloads", ())) == WORKLOADS):
-            return baseline
-    return record_baseline(traced)
+    """The scalar analyzer's recorded rate, re-measured off-host."""
+    baseline = load_host_baseline(BASELINE_PATH, BASELINE_SCHEMA, WORKLOADS)
+    if baseline is None:
+        baseline = record_host_baseline(
+            BASELINE_PATH, BASELINE_SCHEMA, WORKLOADS,
+            {"engine": "records",
+             "records_per_second": analysis_rate(traced, "records")})
+    return baseline
 
 
 def test_columnar_speedup_target(traced):
@@ -118,7 +99,7 @@ def test_columnar_analysis_throughput(benchmark, traced):
     program, path, count = traced[0]
 
     def run():
-        return analyze_trace(program, path, engine="columnar").instructions
+        return analyze_trace(program, path).instructions
 
     assert benchmark(run) == count
 
@@ -127,7 +108,7 @@ def test_scalar_analysis_throughput(benchmark, traced):
     program, path, count = traced[0]
 
     def run():
-        return analyze_trace(program, path, engine="records").instructions
+        return replay_analysis(program, path).instructions
 
     assert benchmark(run) == count
 

@@ -23,11 +23,10 @@ regression is present in every repeat, including the calm ones.
 
 from __future__ import annotations
 
-import json
-import platform
 import time
 from pathlib import Path
 
+from conftest import load_host_baseline, record_host_baseline
 from repro.cpu import CPU
 from repro.fac import FacConfig
 from repro.obs.events import EventBus
@@ -35,6 +34,7 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.sinks import NullSink
 from repro.pipeline import MachineConfig, PipelineSimulator
 from repro.workloads import build_benchmark
+from tests.oracles import step_records
 
 BASELINE_PATH = Path(__file__).parent / "obs_baseline.json"
 BASELINE_SCHEMA = "repro.obs-baseline/2"
@@ -44,14 +44,6 @@ MAX_FLIGHT_OVERHEAD = 0.10     # flight recorder vs detached predecode
 MAX_BUS_OVERHEAD = 1.00        # attached EventBus+NullSink vs detached
 REPEATS = 3
 RELATIVE_REPEATS = 5
-
-
-def fingerprint() -> dict:
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-    }
 
 
 def _programs():
@@ -69,10 +61,9 @@ def _run_step_loop(program):
     cpu = CPU(program)
     pipe = PipelineSimulator(_config(), obs=None)
     feed = pipe.feed
-    step = cpu.step
     start = time.perf_counter()
-    while not cpu.halted:
-        feed(step())
+    for rec in step_records(cpu):
+        feed(rec)
     elapsed = time.perf_counter() - start
     return pipe.result.instructions, elapsed
 
@@ -142,35 +133,15 @@ def _min_overhead(baseline_runner, candidate_runner, programs,
 # ------------------------------------------------------------------ #
 # baseline bookkeeping
 
-def _load_baseline() -> dict | None:
-    """The recorded rates, or None when the file is missing, stale, or
-    from another host (callers re-record instead of comparing)."""
-    if not BASELINE_PATH.exists():
-        return None
-    payload = json.loads(BASELINE_PATH.read_text())
-    if (payload.get("schema") != BASELINE_SCHEMA
-            or payload.get("fingerprint") != fingerprint()
-            or tuple(payload.get("workloads", ())) != WORKLOADS):
-        return None
-    return payload
-
-
 def _gate_or_record(key: str, rate: float) -> None:
     """Compare ``rate`` against the recorded ``key``; (re-)record when
     the baseline is invalid for this host or lacks the key."""
-    baseline = _load_baseline()
-    if baseline is None:
-        baseline = {
-            "schema": BASELINE_SCHEMA,
-            "workloads": list(WORKLOADS),
-            "rates": {},
-            "fingerprint": fingerprint(),
-        }
-    reference = baseline["rates"].get(key)
+    baseline = load_host_baseline(BASELINE_PATH, BASELINE_SCHEMA, WORKLOADS)
+    rates = baseline["rates"] if baseline is not None else {}
+    reference = rates.get(key)
     if reference is None:
-        baseline["rates"][key] = rate
-        BASELINE_PATH.write_text(
-            json.dumps(baseline, indent=2, sort_keys=True) + "\n")
+        record_host_baseline(BASELINE_PATH, BASELINE_SCHEMA, WORKLOADS,
+                             {"rates": {**rates, key: rate}})
         return
     slowdown = 1.0 - rate / reference
     assert slowdown <= MAX_REGRESSION, (

@@ -1,15 +1,15 @@
 """Simulator-throughput gate and micro-benchmarks.
 
 The predecoded fast-dispatch engine (:mod:`repro.cpu.predecode`) must
-beat the legacy ``step()`` interpreter by the targets this PR shipped
+beat the reference ``step()`` interpreter by the targets it shipped
 with: **>=2.5x** functional-simulator throughput and **>=1.5x**
-end-to-end timing-simulator throughput. The legacy engine's rates are
-recorded in ``benchmarks/sim_baseline.json``; like
+end-to-end timing-simulator throughput. The reference interpreter's
+rates are recorded in ``benchmarks/sim_baseline.json``; like
 ``benchmarks/obs_baseline.json`` the file carries a host fingerprint,
 and on a different interpreter or machine the gate re-measures the
-legacy engine (still available via ``engine="step"``) and re-records
-instead of comparing apples to oranges. Delete the file to force
-re-recording.
+reference (driven by ``step_records`` from ``tests/oracles.py``) and
+re-records instead of comparing apples to oranges. Delete the file to
+force re-recording.
 
 The timing measurement runs with ``obs=None`` attached, so the gate
 doubles as the "no new per-instruction observability overhead" check
@@ -17,20 +17,20 @@ for the streaming path (the feed-loop equivalent lives in
 ``test_obs_overhead.py``).
 
 The ``pytest-benchmark`` micro-benchmarks at the bottom report absolute
-rates for both engines and the predictor circuit.
+rates for both interpreters and the predictor circuit.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import time
 from pathlib import Path
 
+from conftest import load_host_baseline, record_host_baseline
 from repro.cpu import CPU
 from repro.fac import FacConfig, FastAddressCalculator
 from repro.pipeline import MachineConfig, PipelineSimulator
 from repro.workloads import build_benchmark
+from tests.oracles import step_records
 
 BASELINE_PATH = Path(__file__).parent / "sim_baseline.json"
 BASELINE_SCHEMA = "repro.sim-baseline/1"
@@ -38,14 +38,6 @@ WORKLOADS = ("yacr2", "compress")
 FUNCTIONAL_TARGET = 2.5
 TIMING_TARGET = 1.5
 REPEATS = 3
-
-
-def fingerprint() -> dict:
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-    }
 
 
 def _programs():
@@ -60,7 +52,11 @@ def functional_rate(programs, engine: str) -> float:
         start = time.perf_counter()
         for program in programs:
             cpu = CPU(program)
-            cpu.run(engine=engine)
+            if engine == "step":
+                for __ in step_records(cpu):
+                    pass
+            else:
+                cpu.run()
             instructions += cpu.instructions_retired
         elapsed = time.perf_counter() - start
         best = max(best, instructions / elapsed)
@@ -80,9 +76,8 @@ def timing_rate(programs, engine: str) -> float:
                                      obs=None)
             if engine == "step":
                 feed = pipe.feed
-                step = cpu.step
-                while not cpu.halted:
-                    feed(step())
+                for rec in step_records(cpu):
+                    feed(rec)
             else:
                 cpu.run_trace(pipe)
             instructions += pipe.finalize().instructions
@@ -91,30 +86,17 @@ def timing_rate(programs, engine: str) -> float:
     return best
 
 
-def record_baseline(programs) -> dict:
-    payload = {
-        "schema": BASELINE_SCHEMA,
-        "workloads": list(WORKLOADS),
-        "engine": "step",
-        "functional_instructions_per_second":
-            functional_rate(programs, "step"),
-        "timing_instructions_per_second": timing_rate(programs, "step"),
-        "fingerprint": fingerprint(),
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                             + "\n")
-    return payload
-
-
 def step_baseline(programs) -> dict:
-    """The legacy engine's recorded rates, re-measured off-host."""
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        if (baseline.get("schema") == BASELINE_SCHEMA
-                and baseline.get("fingerprint") == fingerprint()
-                and tuple(baseline.get("workloads", ())) == WORKLOADS):
-            return baseline
-    return record_baseline(programs)
+    """The reference interpreter's recorded rates, re-measured off-host."""
+    baseline = load_host_baseline(BASELINE_PATH, BASELINE_SCHEMA, WORKLOADS)
+    if baseline is None:
+        baseline = record_host_baseline(
+            BASELINE_PATH, BASELINE_SCHEMA, WORKLOADS,
+            {"engine": "step",
+             "functional_instructions_per_second":
+                 functional_rate(programs, "step"),
+             "timing_instructions_per_second": timing_rate(programs, "step")})
+    return baseline
 
 
 def test_functional_speedup_target():
@@ -125,7 +107,7 @@ def test_functional_speedup_target():
     speedup = rate / reference
     assert speedup >= FUNCTIONAL_TARGET, (
         f"predecoded functional simulator runs at {rate:.0f} instr/s vs "
-        f"the legacy baseline {reference:.0f} instr/s ({speedup:.2f}x < "
+        f"the step() baseline {reference:.0f} instr/s ({speedup:.2f}x < "
         f"{FUNCTIONAL_TARGET}x target)")
 
 
@@ -137,12 +119,12 @@ def test_timing_speedup_target():
     speedup = rate / reference
     assert speedup >= TIMING_TARGET, (
         f"predecoded timing simulator runs at {rate:.0f} instr/s vs "
-        f"the legacy baseline {reference:.0f} instr/s ({speedup:.2f}x < "
+        f"the step() baseline {reference:.0f} instr/s ({speedup:.2f}x < "
         f"{TIMING_TARGET}x target)")
 
 
 # ------------------------------------------------------------------ #
-# pytest-benchmark micro-benchmarks (absolute rates, both engines)
+# pytest-benchmark micro-benchmarks (absolute rates, both interpreters)
 
 def test_functional_simulator_throughput(benchmark):
     program = build_benchmark("yacr2")
@@ -161,7 +143,8 @@ def test_functional_simulator_throughput_legacy(benchmark):
 
     def run():
         cpu = CPU(program)
-        cpu.run(10_000_000, engine="step")
+        for __ in step_records(cpu, 10_000_000):
+            pass
         return cpu.instructions_retired
 
     retired = benchmark(run)
@@ -187,8 +170,8 @@ def test_timing_simulator_throughput_legacy(benchmark):
     def run():
         cpu = CPU(program)
         pipe = PipelineSimulator(MachineConfig(fac=FacConfig()))
-        while not cpu.halted:
-            pipe.feed(cpu.step())
+        for rec in step_records(cpu):
+            pipe.feed(rec)
         return pipe.finalize().instructions
 
     instructions = benchmark(run)

@@ -13,7 +13,6 @@ from repro.analysis.refclass import (
 from repro.analysis.prediction import (
     PredictionStats,
     TraceAnalysis,
-    TraceAnalyzer,
     analyze_program,
     analyze_trace,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "offset_bucket",
     "PredictionStats",
     "TraceAnalysis",
-    "TraceAnalyzer",
     "analyze_program",
     "analyze_trace",
     "StaticAnalysis",

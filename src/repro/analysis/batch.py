@@ -1,14 +1,15 @@
 """Vectorized whole-trace analysis over columnar traces.
 
-:func:`analyze_trace_columns` is the batch twin of the scalar
-:func:`repro.analysis.prediction.analyze_trace`: the same
+:func:`analyze_trace_columns` is the analyzer behind
+:func:`repro.analysis.prediction.analyze_program` and
+:func:`~repro.analysis.prediction.analyze_trace`: a
 :class:`~repro.analysis.prediction.TraceAnalysis` out of a handful of
 numpy passes over :class:`~repro.cpu.coltrace.TraceColumns` instead of
-one Python callback per record. The two are *snapshot-equal* -- their
-``repro.metrics/1`` encodings are identical on every benchmark -- which
-the suite-wide equivalence test and the ``columnar-equivalence`` CI job
-enforce; the scalar path stays available behind ``engine="records"`` as
-the oracle.
+one Python callback per record. It is *snapshot-equal* to the scalar
+record-at-a-time analyzer kept as the oracle in ``tests/oracles.py``:
+their ``repro.metrics/1`` encodings are identical on every benchmark,
+which the suite-wide equivalence test and the ``columnar-equivalence``
+CI job enforce.
 
 The FAC verification signals vectorize directly because the circuit is
 pure bit arithmetic (paper Section 3): Overflow, GenCarry,
@@ -229,10 +230,10 @@ def analyze_trace_columns(program: Program, cols: TraceColumns,
                           full_tag_add: bool = True,
                           per_pc: bool = False, memory_usage: int = 0,
                           stdout: str = "") -> TraceAnalysis:
-    """Vectorized :func:`~repro.analysis.prediction.analyze_trace`.
+    """The full trace analysis of ``cols``, vectorized.
 
     Produces a :class:`TraceAnalysis` whose ``repro.metrics/1`` snapshot
-    equals the scalar analyzer's for the same trace (``per_pc`` tables
+    equals the scalar oracle analyzer's for the same trace (``per_pc`` tables
     included); counters come out as plain Python ints so snapshots stay
     JSON-serializable.
     """
@@ -379,8 +380,8 @@ def load_use_distances(program: Program, cols: TraceColumns,
                        histogram: Histogram | None = None) -> Histogram:
     """Vectorized load-use distance histogram (retired instructions
     between a load and the first consumer of its destination register;
-    1 = back-to-back). Equal to the scalar ``_DistanceTracker`` pass in
-    :mod:`repro.obs.profile`."""
+    1 = back-to-back). Equal to the scalar distance-tracker oracle in
+    ``tests/oracles.py``."""
     hist = histogram if histogram is not None else Histogram("load_use")
     ev_slots, ev_types, counts, starts = _register_events(program)
     idx = cols.index.astype(np.int64)

@@ -2,7 +2,7 @@
 
 One functional pass per program collects, simultaneously:
 
-* Table 1 reference behaviour (via :class:`ReferenceProfile`),
+* Table 1 reference behaviour (a :class:`ReferenceProfile`),
 * prediction failure rates for loads and stores at 16- and 32-byte block
   sizes ("the prediction circuitry performs 4 or 5 bits of full addition
   in the block offset portion"),
@@ -10,24 +10,22 @@ One functional pass per program collects, simultaneously:
   "No R+R" columns),
 * I- and D-cache miss ratios and TLB behaviour for the Table 3/4 columns.
 
-This is much faster than the full timing model and is exactly what the
-paper's Tables 3 and 4 report (the timing-dependent columns -- cycles --
-come from :mod:`repro.pipeline`).
+The pass records the execution as a trace, decodes it into columns
+(:mod:`repro.cpu.coltrace`), and runs the vectorized analyzer
+(:mod:`repro.analysis.batch`). This is much faster than the full timing
+model and is exactly what the paper's Tables 3 and 4 report (the
+timing-dependent columns -- cycles -- come from :mod:`repro.pipeline`).
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 from repro.analysis.refclass import ReferenceProfile
-from repro.cache.cache import Cache, CacheConfig
-from repro.cache.tlb import TLB
-from repro.cpu.executor import CPU, TraceRecord
-from repro.fac.config import FacConfig
-from repro.fac.predictor import FastAddressCalculator
-from repro.isa.opcodes import OP_INFO
+from repro.cpu.executor import CPU
 from repro.isa.program import Program
-from repro.utils.bits import to_signed32
 
 
 @dataclass
@@ -89,183 +87,58 @@ class TraceAnalysis:
     per_pc: dict[int, dict[int, list[int]]] | None = None
 
 
-class TraceAnalyzer:
-    """Single-pass trace analyzer."""
+def _capture_columns(program: Program, max_instructions: int):
+    """Run ``program`` once, recording its trace, and decode the trace
+    into columns; returns ``(cpu, columns)``. The finished CPU supplies
+    what a trace does not carry (memory usage, stdout)."""
+    from repro.cpu.coltrace import decode_tracefile
+    from repro.cpu.tracefile import record_trace
 
-    def __init__(self, block_sizes: tuple[int, ...] = (16, 32),
-                 cache_size: int = 16 * 1024, full_tag_add: bool = True,
-                 per_pc: bool = False):
-        self.profile = ReferenceProfile()
-        # optional {block_size: {pc: [accesses, failures]}} tracking, used
-        # by the static-analysis soundness checks (repro.analysis.static_fac)
-        self.per_pc: dict[int, dict[int, list[int]]] | None = (
-            {bs: {} for bs in block_sizes} if per_pc else None
-        )
-        self.predictors = {
-            bs: FastAddressCalculator(
-                FacConfig(cache_size=cache_size, block_size=bs,
-                          full_tag_add=full_tag_add)
-            )
-            for bs in block_sizes
-        }
-        self.stats = {bs: PredictionStats(block_size=bs) for bs in block_sizes}
-        self.icache = Cache(CacheConfig(size=16 * 1024, block_size=32,
-                                        name="icache"))
-        self.dcache = Cache(CacheConfig(size=16 * 1024, block_size=32,
-                                        name="dcache"))
-        self.tlb = TLB()
-        self._last_iblock = -1
-
-    def observe(self, rec: TraceRecord) -> None:
-        self.profile.observe(rec)
-        iblock = rec.pc >> 5
-        if iblock != self._last_iblock:
-            self._last_iblock = iblock
-            self.icache.access(rec.pc)
-        inst = rec.inst
-        info = OP_INFO[inst.op]
-        if not info.mem_width:
-            return
-        self.dcache.access(rec.ea, info.is_store)
-        self.tlb.access(rec.ea)
-        mode = info.mem_mode
-        if mode == "p":
-            failed = False  # address needs no addition: always correct
-            offset = 0
-        else:
-            offset = rec.offset_value if mode == "c" \
-                else to_signed32(rec.offset_value)
-        for block_size, predictor in self.predictors.items():
-            stats = self.stats[block_size]
-            if mode == "p":
-                failed = False
-            else:
-                # allocation-free verdict first; only failures (rare)
-                # materialize the Prediction for its signal breakdown
-                failed = predictor.fails(rec.base_value, offset, mode == "x")
-                if failed:
-                    signals = predictor.predict(
-                        rec.base_value, offset, mode == "x"
-                    ).signals
-                    counts = stats.signal_counts
-                    counts["overflow"] += signals.overflow
-                    counts["gen_carry"] += signals.gen_carry
-                    counts["large_neg_const"] += signals.large_neg_const
-                    counts["neg_index_reg"] += signals.neg_index_reg
-                    counts["tag_mismatch"] += signals.tag_mismatch
-            if self.per_pc is not None:
-                entry = self.per_pc[block_size].setdefault(rec.pc, [0, 0])
-                entry[0] += 1
-                entry[1] += failed
-            if info.is_load:
-                stats.loads += 1
-                stats.load_failures += failed
-                if mode != "x":
-                    stats.norr_loads += 1
-                    stats.norr_load_failures += failed
-            else:
-                stats.stores += 1
-                stats.store_failures += failed
-                if mode != "x":
-                    stats.norr_stores += 1
-                    stats.norr_store_failures += failed
-
-    # ------------------------------------------------------------------ #
-    # streaming trace protocol (CPU.run_trace / tracefile.replay_into)
-
-    trace_mem = observe
-    trace_branch = observe
-
-    def trace_plain(self, pc, inst) -> None:
-        """Record-free fast lane: for a non-memory, non-branch
-        instruction :meth:`observe` only counts it and probes the
-        icache model."""
-        self.profile.instructions += 1
-        iblock = pc >> 5
-        if iblock != self._last_iblock:
-            self._last_iblock = iblock
-            self.icache.access(pc)
-
-    def finish(self, cpu: CPU) -> TraceAnalysis:
-        return self.result(memory_usage=cpu.memory_usage,
-                           instructions=cpu.instructions_retired,
-                           stdout=cpu.stdout())
-
-    def result(self, memory_usage: int = 0, instructions: int | None = None,
-               stdout: str = "") -> TraceAnalysis:
-        """Finish without a live CPU (trace-replay path): the functional
-        facts a trace does not carry are passed in explicitly.
-        ``instructions`` defaults to the observed record count."""
-        return TraceAnalysis(
-            profile=self.profile,
-            predictions=self.stats,
-            icache_miss_ratio=self.icache.miss_ratio,
-            dcache_miss_ratio=self.dcache.miss_ratio,
-            tlb_miss_ratio=self.tlb.miss_ratio,
-            memory_usage=memory_usage,
-            instructions=(self.profile.instructions
-                          if instructions is None else instructions),
-            stdout=stdout,
-            per_pc=self.per_pc,
-        )
+    handle, path = tempfile.mkstemp(suffix=".fact.gz", prefix="repro-")
+    os.close(handle)
+    try:
+        cpu = CPU(program)
+        record_trace(program, path, max_instructions, cpu=cpu)
+        cols = decode_tracefile(program, path)
+    finally:
+        os.unlink(path)
+    return cpu, cols
 
 
 def analyze_program(program: Program, block_sizes: tuple[int, ...] = (16, 32),
                     max_instructions: int = 50_000_000,
-                    per_pc: bool = False,
-                    engine: str = "predecoded") -> TraceAnalysis:
+                    per_pc: bool = False) -> TraceAnalysis:
     """Run ``program`` functionally and collect the full analysis.
 
-    ``engine="predecoded"`` streams the execution through
-    :meth:`CPU.run_trace` (no per-instruction record allocation for
-    non-memory, non-branch instructions); ``engine="step"`` keeps the
-    legacy decode-per-step loop. Both produce identical analyses.
+    ``per_pc`` adds ``{block_size: {pc: [accesses, failures]}}`` tables,
+    used by the static-analysis soundness checks
+    (:mod:`repro.analysis.static_fac`). Memory use grows with the trace
+    length: the whole execution is decoded into columns first.
     """
-    cpu = CPU(program)
-    analyzer = TraceAnalyzer(block_sizes, per_pc=per_pc)
-    if engine == "step":
-        observe = analyzer.observe
-        step = cpu.step
-        budget = max_instructions
-        while not cpu.halted and budget > 0:
-            observe(step())
-            budget -= 1
-    else:
-        cpu.run_trace(analyzer, max_instructions)
-    return analyzer.finish(cpu)
+    from repro.analysis.batch import analyze_trace_columns
+
+    cpu, cols = _capture_columns(program, max_instructions)
+    return analyze_trace_columns(
+        program, cols, block_sizes=block_sizes, per_pc=per_pc,
+        memory_usage=cpu.memory_usage, stdout=cpu.stdout())
 
 
 def analyze_trace(program: Program, trace_path: str,
                   block_sizes: tuple[int, ...] = (16, 32),
                   per_pc: bool = False, memory_usage: int = 0,
-                  stdout: str = "", engine: str = "columnar") -> TraceAnalysis:
+                  stdout: str = "") -> TraceAnalysis:
     """Collect the full analysis from a recorded trace
     (:mod:`repro.cpu.tracefile`) instead of a live execution.
 
     One functional capture drives any number of analyzer geometries
     without re-interpreting the program; ``memory_usage`` and ``stdout``
-    come from the trace artifact's metadata when available.
+    come from the trace artifact's metadata when available. The trace
+    is decoded into column arrays and analyzed by the vectorized batch
+    analyzer (:mod:`repro.analysis.batch`)."""
+    from repro.analysis.batch import analyze_trace_columns
+    from repro.cpu.coltrace import decode_tracefile
 
-    ``engine="columnar"`` (default) decodes the trace into column
-    arrays and runs the vectorized batch analyzer
-    (:mod:`repro.analysis.batch`); ``engine="records"`` replays the
-    stream through the scalar :class:`TraceAnalyzer` one record at a
-    time. Both produce snapshot-identical analyses -- the equivalence
-    suite asserts it on every benchmark -- so ``records`` exists as the
-    oracle, not a fallback."""
-    if engine == "columnar":
-        from repro.analysis.batch import analyze_trace_columns
-        from repro.cpu.coltrace import decode_tracefile
-
-        cols = decode_tracefile(program, trace_path)
-        return analyze_trace_columns(
-            program, cols, block_sizes=block_sizes, per_pc=per_pc,
-            memory_usage=memory_usage, stdout=stdout)
-    if engine != "records":
-        raise ValueError(f"unknown engine {engine!r}; "
-                         "choose 'columnar' or 'records'")
-    from repro.cpu.tracefile import replay_into
-
-    analyzer = TraceAnalyzer(block_sizes, per_pc=per_pc)
-    replay_into(program, trace_path, analyzer)
-    return analyzer.result(memory_usage=memory_usage, stdout=stdout)
+    cols = decode_tracefile(program, trace_path)
+    return analyze_trace_columns(
+        program, cols, block_sizes=block_sizes, per_pc=per_pc,
+        memory_usage=memory_usage, stdout=stdout)

@@ -11,8 +11,8 @@ whether it *must* fire, then fold those sets into one of three verdicts:
   the access provably always mispredicts.
 * ``DATA_DEPENDENT``  -- anything in between.
 
-Soundness contract (checked against the dynamic
-:class:`~repro.analysis.prediction.TraceAnalyzer` by the test suite):
+Soundness contract (checked against the dynamic per-PC counts of
+:func:`~repro.analysis.prediction.analyze_program` by the test suite):
 both ALWAYS and NEVER are universally quantified over the
 concretisation, so a single dynamic counterexample falsifies the
 analysis. ``tag_mismatch`` is therefore never allowed to contribute to

@@ -141,7 +141,7 @@ def check_soundness(
     analysis: StaticAnalysis, per_pc: dict[int, list[int]]
 ) -> SoundnessReport:
     """Compare static verdicts with dynamic ``{pc: [accesses, failures]}``
-    counts (from ``TraceAnalyzer(per_pc=True)`` at the same geometry)."""
+    counts (from ``analyze_program(per_pc=True)`` at the same geometry)."""
     always_bad = []
     never_bad = []
     unreachable_bad = []

@@ -2,10 +2,10 @@
 
 The record-stream format (:mod:`repro.cpu.tracefile`) is ideal for
 *writing* -- the functional simulator streams records as they retire --
-but every analysis that replays it pays one Python callback per record.
-This module decodes a trace **once** into a structured set of numpy
-column arrays (:class:`TraceColumns`): pc-index, effective address,
-base value, offset, flags, and next pc. Whole-trace analyses
+but a record replay (:func:`repro.cpu.tracefile.replay_into`) pays one
+Python callback per record. This module decodes a trace **once** into a
+structured set of numpy column arrays (:class:`TraceColumns`):
+pc-index, effective address, base value, offset, flags, and next pc. Whole-trace analyses
 (:mod:`repro.analysis.batch`) then run as a handful of vectorized
 passes over the columns instead of millions of interpreter callbacks.
 
@@ -43,10 +43,9 @@ from repro.cpu.tracefile import (
     _FLAG_HAS_TAKEN,
     _FLAG_TAKEN,
     _HEADER,
-    _MAGIC,
     _RECORD,
-    _VERSION,
     program_crc,
+    validate_header,
 )
 from repro.errors import SimulationError
 from repro.isa.program import Program
@@ -88,8 +87,8 @@ class TraceColumns:
 
     ``flags`` keeps the stream's record-type bits verbatim (far-target
     bits are resolved into ``next_pc`` and cleared), so the record kind
-    masks below recover exactly the three replay lanes of
-    :func:`repro.cpu.tracefile.replay_into`.
+    masks below recover exactly the three lanes of the trace protocol
+    (:meth:`repro.cpu.executor.CPU.run_trace`).
     """
 
     text_base: int
@@ -142,26 +141,11 @@ class TraceColumns:
             raise SimulationError("columns entry point mismatch")
 
 
-def _validate_header(header: bytes, path: str, program: Program) -> None:
-    if len(header) != _HEADER.size:
-        raise SimulationError(f"{path}: truncated trace header")
-    magic, version, __, crc, __reserved, entry = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise SimulationError(f"{path}: not a trace file")
-    if version != _VERSION:
-        raise SimulationError(f"{path}: unsupported trace version {version}")
-    if crc != program_crc(program):
-        raise SimulationError(
-            f"{path}: trace was recorded against a different program")
-    if entry != program.entry:
-        raise SimulationError(f"{path}: entry point mismatch")
-
-
 def decode_tracefile(program: Program, path: str) -> TraceColumns:
     """Decode one v1 tracefile into :class:`TraceColumns`.
 
-    Header validation matches :func:`repro.cpu.tracefile.replay_into`
-    exactly (magic, version, program CRC, entry point). The record
+    The header goes through :func:`repro.cpu.tracefile.validate_header`,
+    the check every trace reader shares. The record
     stream is reinterpreted through a packed structured dtype in one
     ``frombuffer`` per far-target segment -- far targets are the only
     variable-length element, and they are rare (indirect jumps whose
@@ -173,7 +157,7 @@ def decode_tracefile(program: Program, path: str) -> TraceColumns:
             blob = stream.read()
     except (OSError, EOFError) as exc:
         raise SimulationError(f"{path}: corrupt trace file ({exc})") from exc
-    _validate_header(blob[:_HEADER.size], path, program)
+    validate_header(blob[:_HEADER.size], path, program)
     body = memoryview(blob)[_HEADER.size:]
     rec_size = _RECORD.size
 

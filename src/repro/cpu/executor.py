@@ -1,11 +1,17 @@
 """The functional simulator.
 
-``CPU.step()`` executes one instruction and returns a :class:`TraceRecord`
-describing what happened -- the effective address and its ingredients for
-memory operations, and the control-flow outcome for branches. The timing
-simulator (:mod:`repro.pipeline`) and the reference-behaviour analyses
-(:mod:`repro.analysis`) are both trace-driven consumers of these records,
-which keeps the architectural semantics in exactly one place.
+:meth:`CPU.run_trace` (and :meth:`CPU.run`) execute through the
+predecoded threaded-dispatch tables of :mod:`repro.cpu.predecode` and
+stream a :class:`TraceRecord` per memory operation and branch to a
+trace consumer -- the effective address and its ingredients for memory
+operations, the control-flow outcome for branches. The timing simulator
+(:mod:`repro.pipeline`) and trace capture (:mod:`repro.cpu.tracefile`)
+are such consumers.
+
+``CPU.step()`` is the reference interpreter: it decodes and executes one
+instruction and returns its record. The test oracles
+(``tests/oracles.py``) drive it to check the predecoded engine record
+for record.
 """
 
 from __future__ import annotations
@@ -89,25 +95,13 @@ class CPU:
         stack = self.program.sp_value - self.sp_min
         return static + heap + stack
 
-    def run(self, max_instructions: int = 100_000_000,
-            engine: str = "predecoded") -> int:
+    def run(self, max_instructions: int = 100_000_000) -> int:
         """Run until exit or the instruction budget; returns retired count.
 
-        ``engine`` selects the interpreter: ``"predecoded"`` (default)
-        drives the threaded-dispatch tables of :mod:`repro.cpu.predecode`;
-        ``"step"`` keeps the legacy per-instruction decode loop (used by
-        the equivalence suite and for re-measuring baselines).
+        Drives the threaded-dispatch tables of :mod:`repro.cpu.predecode`
+        (see :meth:`run_trace`).
         """
-        if engine == "step":
-            executed = 0
-            step = self.step
-            budget = max_instructions
-            while not self.halted and budget > 0:
-                step()
-                budget -= 1
-                executed += 1
-        else:
-            executed = self.run_trace(None, max_instructions)
+        executed = self.run_trace(None, max_instructions)
         if not self.halted and executed >= max_instructions > 0:
             raise SimulationError(
                 f"instruction budget exhausted after {max_instructions} instructions"

@@ -12,10 +12,13 @@ deserialized results is held in memory, so the full 19-benchmark x
 
 All cells execute on the predecoded fast-dispatch engine
 (:mod:`repro.cpu.predecode`): traces are captured through
-:meth:`CPU.run_trace` and replayed through
-:func:`repro.cpu.tracefile.replay_into`, which is bit-for-bit equivalent
-to the legacy ``step()`` loop (see docs/performance.md) -- snapshots
-produced before this engine existed remain valid cache hits.
+:meth:`CPU.run_trace`, timed through
+:func:`repro.cpu.tracefile.replay_into`, and analyzed through the
+columnar analyzer (:mod:`repro.analysis.batch`). Each is bit-for-bit
+equal to its reference oracle in ``tests/oracles.py`` (the ``step()``
+interpreter and the scalar analyzer; see docs/performance.md), so
+snapshots produced before these engines existed remain valid cache
+hits.
 
 Set ``REPRO_SUITE`` to a comma-separated subset (e.g.
 ``REPRO_SUITE=compress,alvinn``) to bound harness run time,

@@ -388,18 +388,11 @@ def _analysis_columns(store: ArtifactStore, ckey: str, tkey: str, program):
 
 
 def ensure_analysis(store: ArtifactStore, name: str, software: bool,
-                    max_instructions: int, source: str | None = None,
-                    engine: str = "columnar") -> tuple[str, dict]:
-    """Compute (or find) the trace analysis snapshot of one build.
-
-    ``engine="columnar"`` (default) goes through the ``coltrace``
-    artifact and the vectorized batch analyzer; ``engine="records"``
-    replays the tracefile through the scalar analyzer. Both engines
-    produce byte-identical snapshots under the *same* analysis key --
-    the columnar path is an implementation change, not a new cell, so
-    warm stores stay valid.
-    """
-    from repro.analysis.prediction import analyze_trace
+                    max_instructions: int,
+                    source: str | None = None) -> tuple[str, dict]:
+    """Compute (or find) the trace analysis snapshot of one build: the
+    ``coltrace`` artifact through the vectorized batch analyzer."""
+    from repro.analysis.batch import analyze_trace_columns
 
     manifest = ensure_manifest(store, name, software, source)
     key = analysis_key(name, software, manifest["program_crc"],
@@ -410,31 +403,21 @@ def ensure_analysis(store: ArtifactStore, name: str, software: bool,
     tkey, tmeta = ensure_trace(store, name, software, max_instructions,
                                source)
     program = build_program(name, software, source)
-    if engine == "columnar":
-        from repro.analysis.batch import analyze_trace_columns
-
-        ckey, _ = ensure_coltrace(store, name, software, max_instructions,
-                                  source)
-        # pin the inputs for the duration of the cell: a size-budgeted
-        # gc running between jobs must not evict what we are reading
-        store.pin("trace", tkey)
-        store.pin("coltrace", ckey)
-        try:
-            cols = _analysis_columns(store, ckey, tkey, program)
-            analysis = analyze_trace_columns(
-                program, cols, block_sizes=ANALYSIS_BLOCK_SIZES,
-                memory_usage=tmeta["memory_usage"], stdout=tmeta["stdout"],
-            )
-        finally:
-            store.unpin("coltrace", ckey)
-            store.unpin("trace", tkey)
-    else:
-        trace_path = store.payload_path("trace", tkey, TRACE_PAYLOAD)
-        analysis = analyze_trace(
-            program, str(trace_path), block_sizes=ANALYSIS_BLOCK_SIZES,
+    ckey, _ = ensure_coltrace(store, name, software, max_instructions,
+                              source)
+    # pin the inputs for the duration of the cell: a size-budgeted
+    # gc running between jobs must not evict what we are reading
+    store.pin("trace", tkey)
+    store.pin("coltrace", ckey)
+    try:
+        cols = _analysis_columns(store, ckey, tkey, program)
+        analysis = analyze_trace_columns(
+            program, cols, block_sizes=ANALYSIS_BLOCK_SIZES,
             memory_usage=tmeta["memory_usage"], stdout=tmeta["stdout"],
-            engine=engine,
         )
+    finally:
+        store.unpin("coltrace", ckey)
+        store.unpin("trace", tkey)
     snapshot = analysis_to_snapshot(analysis, meta={
         "cell": "analysis",
         "name": name,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.prediction import TraceAnalysis, TraceAnalyzer
+from repro.analysis.prediction import TraceAnalysis, _capture_columns
 from repro.analysis.static_fac import analyze_static
 from repro.cpu.executor import CPU
 from repro.fac.config import FacConfig
@@ -32,7 +32,6 @@ from repro.isa.program import Program
 from repro.obs.events import EventBus, FacReplay, MemAccess
 from repro.obs.metrics import Histogram, MetricsRegistry, safe_ratio
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.deps import sources_and_dests
 from repro.pipeline.pipeline import PipelineSimulator
 from repro.pipeline.result import SimResult
 
@@ -266,94 +265,6 @@ class ProfileResult:
         return None
 
 
-class _DistanceTracker:
-    """:meth:`CPU.run_trace` consumer chaining a :class:`TraceAnalyzer`
-    with the load-use distance histogram.
-
-    Distance = retired instructions between a load and the first
-    consumer of its destination register (1 = back-to-back use).
-    Register dependences are static per instruction, so they are
-    resolved once per text word instead of once per retirement.
-    """
-
-    def __init__(self, analyzer: TraceAnalyzer, histogram: Histogram):
-        self._analyzer = analyzer
-        self._record = histogram.record
-        self._pending: dict[int, int] = {}  # register slot -> load index
-        self._index = 0
-        self._deps: dict[int, tuple] = {}   # id(inst) -> (srcs, dests, load)
-
-    def _track(self, inst) -> None:
-        deps = self._deps.get(id(inst))
-        if deps is None:
-            sources, dests = sources_and_dests(inst)
-            deps = self._deps[id(inst)] = (sources, dests, inst.info.is_load)
-        sources, dests, is_load = deps
-        pending = self._pending
-        index = self._index
-        if pending:
-            for slot in sources:
-                start = pending.pop(slot, None)
-                if start is not None:
-                    self._record(index - start)
-        if is_load:
-            for slot in dests:
-                pending[slot] = index
-        else:
-            for slot in dests:
-                pending.pop(slot, None)
-        self._index = index + 1
-
-    def trace_plain(self, pc, inst) -> None:
-        self._analyzer.trace_plain(pc, inst)
-        self._track(inst)
-
-    def trace_mem(self, rec) -> None:
-        self._analyzer.observe(rec)
-        self._track(rec.inst)
-
-    trace_branch = trace_mem
-
-
-def _load_use_distances(program: Program, analyzer: TraceAnalyzer,
-                        histogram: Histogram,
-                        max_instructions: int) -> CPU:
-    """One functional pass feeding ``analyzer`` and the distance histogram."""
-    cpu = CPU(program)
-    cpu.run_trace(_DistanceTracker(analyzer, histogram), max_instructions)
-    return cpu
-
-
-def _functional_pass_columnar(program: Program,
-                              block_sizes: tuple[int, ...],
-                              cache_size: int, distances: Histogram,
-                              max_instructions: int) -> TraceAnalysis:
-    """Columnar twin of the scalar functional pass: record the trace
-    once (keeping the CPU for memory usage / stdout), decode it into
-    columns, and run the vectorized analyzer and load-use kernel.
-    Produces the same analysis and histogram as the scalar pass."""
-    import os
-    import tempfile
-
-    from repro.analysis.batch import analyze_trace_columns, load_use_distances
-    from repro.cpu.coltrace import decode_tracefile
-    from repro.cpu.tracefile import record_trace
-
-    handle, path = tempfile.mkstemp(suffix=".fact.gz", prefix="repro-prof-")
-    os.close(handle)
-    try:
-        cpu = CPU(program)
-        record_trace(program, path, max_instructions, cpu=cpu)
-        cols = decode_tracefile(program, path)
-    finally:
-        os.unlink(path)
-    analysis = analyze_trace_columns(
-        program, cols, block_sizes=block_sizes, cache_size=cache_size,
-        per_pc=True, memory_usage=cpu.memory_usage, stdout=cpu.stdout())
-    load_use_distances(program, cols, distances)
-    return analysis
-
-
 def profile_program(
     program: Program,
     name: str = "program",
@@ -361,35 +272,21 @@ def profile_program(
     primary_block_size: int = 32,
     cache_size: int = 16 * 1024,
     max_instructions: int = 50_000_000,
-    engine: str = "columnar",
 ) -> ProfileResult:
-    """Profile every load/store site of ``program``. See module docstring.
+    """Profile every load/store site of ``program``. See module docstring."""
+    from repro.analysis.batch import analyze_trace_columns, load_use_distances
 
-    ``engine`` selects the functional pass: ``"columnar"`` (default)
-    records + decodes the trace and runs the vectorized batch analyzer,
-    ``"records"`` streams execution through the scalar
-    :class:`TraceAnalyzer`. Identical results either way (the profiler
-    equivalence test asserts it); the timing and static passes are
-    engine-independent.
-    """
     if primary_block_size not in block_sizes:
         block_sizes = tuple(sorted(set(block_sizes) | {primary_block_size}))
-    if engine not in ("columnar", "records"):
-        raise ValueError(f"unknown engine {engine!r}; "
-                         "choose 'columnar' or 'records'")
 
     # 1. functional pass: exact per-PC prediction counts + load-use hist
     registry = MetricsRegistry()
     distances = registry.histogram("profile.load_use_distance")
-    if engine == "columnar":
-        analysis = _functional_pass_columnar(
-            program, block_sizes, cache_size, distances, max_instructions)
-    else:
-        analyzer = TraceAnalyzer(block_sizes, cache_size=cache_size,
-                                 per_pc=True)
-        cpu = _load_use_distances(program, analyzer, distances,
-                                  max_instructions)
-        analysis = analyzer.finish(cpu)
+    cpu, cols = _capture_columns(program, max_instructions)
+    analysis = analyze_trace_columns(
+        program, cols, block_sizes=block_sizes, cache_size=cache_size,
+        per_pc=True, memory_usage=cpu.memory_usage, stdout=cpu.stdout())
+    load_use_distances(program, cols, distances)
 
     # 2. timing pass: replay cycles, dcache misses, latency distribution
     sink = ProfileSink()

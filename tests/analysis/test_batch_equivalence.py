@@ -1,9 +1,9 @@
 """Suite-wide columnar/scalar analysis equivalence.
 
-For every benchmark in the suite, the vectorized batch analyzer
-(``engine="columnar"``) must produce a ``repro.metrics/1`` snapshot
-*equal* to the scalar record-replay oracle (``engine="records"``) at
-both paper block sizes. This is the acceptance gate for the columnar
+For every benchmark in the suite, the vectorized batch analyzer behind
+``analyze_trace`` must produce a ``repro.metrics/1`` snapshot *equal*
+to the scalar record-replay oracle (``tests/oracles.py``) at both paper
+block sizes. This is the acceptance gate for the columnar
 path: any divergence in a counter, miss ratio, failure-signal count,
 or reference-profile bucket fails the test with the differing keys.
 """
@@ -14,6 +14,7 @@ from repro.analysis.prediction import analyze_trace
 from repro.cpu.tracefile import record_trace
 from repro.farm.snapshots import analysis_to_snapshot
 from repro.workloads import BENCHMARKS, build_benchmark
+from tests.oracles import replay_analysis
 
 pytestmark = pytest.mark.slow
 
@@ -42,10 +43,8 @@ def test_snapshot_equality(name, trace_dir):
     program = build_benchmark(name)
     path = str(trace_dir / f"{name}.fact.gz")
     record_trace(program, path, max_instructions=MAX_INSTRUCTIONS)
-    columnar = analyze_trace(program, path, block_sizes=BLOCK_SIZES,
-                             engine="columnar")
-    records = analyze_trace(program, path, block_sizes=BLOCK_SIZES,
-                            engine="records")
+    columnar = analyze_trace(program, path, block_sizes=BLOCK_SIZES)
+    records = replay_analysis(program, path, block_sizes=BLOCK_SIZES)
     diffs = _diff_keys(analysis_to_snapshot(columnar),
                        analysis_to_snapshot(records))
     assert not diffs, f"{name}: columnar/scalar divergence:\n" + \
@@ -58,8 +57,8 @@ def test_snapshot_equality_with_software_support(trace_dir):
     program = build_benchmark("eqntott", software_support=True)
     path = str(trace_dir / "eqntott-ss.fact.gz")
     record_trace(program, path, max_instructions=MAX_INSTRUCTIONS)
-    columnar = analyze_trace(program, path, engine="columnar")
-    records = analyze_trace(program, path, engine="records")
+    columnar = analyze_trace(program, path)
+    records = replay_analysis(program, path)
     diffs = _diff_keys(analysis_to_snapshot(columnar),
                        analysis_to_snapshot(records))
     assert not diffs, "software-support divergence:\n" + "\n".join(diffs)
@@ -69,16 +68,9 @@ def test_per_pc_tables_equal(trace_dir):
     program = build_benchmark("compress")
     path = str(trace_dir / "compress-perpc.fact.gz")
     record_trace(program, path, max_instructions=MAX_INSTRUCTIONS)
-    columnar = analyze_trace(program, path, per_pc=True, engine="columnar")
-    records = analyze_trace(program, path, per_pc=True, engine="records")
+    columnar = analyze_trace(program, path, per_pc=True)
+    records = replay_analysis(program, path, per_pc=True)
     assert set(columnar.per_pc) == set(records.per_pc)
     for bs in columnar.per_pc:
         assert columnar.per_pc[bs] == records.per_pc[bs]
 
-
-def test_unknown_engine_rejected(trace_dir):
-    program = build_benchmark("eqntott")
-    path = str(trace_dir / "eqntott-engine.fact.gz")
-    record_trace(program, path, max_instructions=MAX_INSTRUCTIONS)
-    with pytest.raises(ValueError, match="engine"):
-        analyze_trace(program, path, engine="simd")

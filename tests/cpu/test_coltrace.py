@@ -12,9 +12,10 @@ from repro.cpu.coltrace import (
     decode_tracefile,
     load_columns,
 )
-from repro.cpu.tracefile import record_trace, replay_trace
+from repro.cpu.tracefile import record_trace
 from repro.errors import SimulationError
 from repro.isa.opcodes import OP_INFO
+from tests.oracles import replay_trace
 
 SOURCE = """
 int v[64];

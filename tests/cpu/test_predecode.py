@@ -1,8 +1,8 @@
-"""Cross-engine equivalence and trace-protocol tests for the predecoded
+"""Oracle equivalence and trace-protocol tests for the predecoded
 fast-dispatch engine (:mod:`repro.cpu.predecode`).
 
-The predecoded engine (``CPU.run_trace`` / ``CPU.run(engine="predecoded")``)
-must be bit-for-bit equivalent to the legacy ``step()`` loop: same
+The predecoded engine (``CPU.run_trace`` / ``CPU.run``) must be
+bit-for-bit equivalent to the reference ``step()`` interpreter: same
 architectural state, same stdout, same trace records, same faults at the
 same instruction boundaries.
 """
@@ -16,6 +16,7 @@ from repro.errors import SimulationError
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import OP_INFO
 from repro.linker import LinkOptions, link
+from tests.oracles import step_records
 
 MINIC_SOURCE = """
 int v[64];
@@ -95,13 +96,9 @@ class _Collector:
     trace_branch = trace_mem
 
 
-def step_records(program, budget=1_000_000):
+def stepped(program, budget=1_000_000):
     cpu = CPU(program)
-    records = []
-    while not cpu.halted and budget > 0:
-        records.append(cpu.step())
-        budget -= 1
-    return cpu, records
+    return cpu, list(step_records(cpu, budget))
 
 
 def run_trace_records(program, budget=1_000_000):
@@ -112,7 +109,7 @@ def run_trace_records(program, budget=1_000_000):
 
 
 def assert_same_execution(program, budget=1_000_000):
-    cpu_a, recs_a = step_records(program, budget)
+    cpu_a, recs_a = stepped(program, budget)
     cpu_b, recs_b = run_trace_records(program, budget)
     assert len(recs_a) == len(recs_b)
     for a, b in zip(recs_a, recs_b):
@@ -138,8 +135,9 @@ class TestEngineEquivalence:
     def test_run_engines_match(self):
         program = compile_and_link(MINIC_SOURCE)
         cpu_a, cpu_b = CPU(program), CPU(program)
-        cpu_a.run(engine="step")
-        cpu_b.run(engine="predecoded")
+        for __ in step_records(cpu_a):
+            pass
+        cpu_b.run()
         assert cpu_a.state.snapshot() == cpu_b.state.snapshot()
         assert cpu_a.stdout() == cpu_b.stdout()
         assert cpu_a.instructions_retired == cpu_b.instructions_retired
@@ -147,17 +145,19 @@ class TestEngineEquivalence:
     def test_budget_exhaustion_matches(self):
         source = ".text\n.globl __start\n__start:\nspin: b spin"
         program = asm_program(source)
-        for engine in ("step", "predecoded"):
-            cpu = CPU(program)
-            with pytest.raises(SimulationError, match="budget"):
-                cpu.run(1000, engine=engine)
-            assert cpu.instructions_retired == 1000
+        reference, _ = stepped(program, 1000)
+        assert not reference.halted
+        cpu = CPU(program)
+        with pytest.raises(SimulationError, match="budget"):
+            cpu.run(1000)
+        assert cpu.instructions_retired == 1000
+        assert cpu.state.snapshot() == reference.state.snapshot()
 
     def test_budget_boundary_state_matches(self):
         # stopping mid-run must leave both engines at the same pc
         program = compile_and_link(MINIC_SOURCE)
         for budget in (1, 7, 100):
-            cpu_a, _ = step_records(program, budget)
+            cpu_a, _ = stepped(program, budget)
             cpu_b, _ = run_trace_records(program, budget)
             assert cpu_a.state.snapshot() == cpu_b.state.snapshot()
             assert cpu_a.instructions_retired == budget
@@ -214,12 +214,12 @@ __start:
 """
         program = asm_program(source)
         reference = self._step_until_fault(program)
-        for engine in ("step", "predecoded"):
-            cpu = CPU(program)
-            with pytest.raises(SimulationError, match="outside text segment"):
-                cpu.run(100, engine=engine)
-            assert cpu.state.pc == program.text_base + 0x4000
-            assert cpu.instructions_retired == reference.instructions_retired
+        assert reference.state.pc == program.text_base + 0x4000
+        cpu = CPU(program)
+        with pytest.raises(SimulationError, match="outside text segment"):
+            cpu.run(100)
+        assert cpu.state.pc == program.text_base + 0x4000
+        assert cpu.instructions_retired == reference.instructions_retired
 
 
 class TestRunTraceProtocol:
@@ -235,7 +235,7 @@ class TestRunTraceProtocol:
 
         consumer = MemOnly()
         CPU(program).run_trace(consumer, 1_000_000)
-        _, reference = step_records(program)
+        _, reference = stepped(program)
         expected = [r for r in reference if OP_INFO[r.inst.op].mem_width]
         assert len(consumer.records) == len(expected)
         for got, want in zip(consumer.records, expected):

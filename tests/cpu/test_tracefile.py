@@ -8,12 +8,12 @@ from repro.cpu.tracefile import (
     program_crc,
     record_trace,
     replay_into,
-    replay_trace,
     simulate_trace,
 )
 from repro.errors import SimulationError
 from repro.fac import FacConfig
 from repro.pipeline import MachineConfig, simulate_program
+from tests.oracles import record_trace_steps, replay_trace
 
 SOURCE = """
 int v[64];
@@ -64,15 +64,15 @@ class TestRoundTrip:
 
 
 class TestEngines:
-    """The streaming writer (predecoded engine) and the legacy step loop
-    must produce byte-identical files, and ``replay_into`` must hand
-    consumers the same records ``replay_trace`` yields."""
+    """The streaming writer and the step-driven reference encoder must
+    produce byte-identical files, and ``replay_into`` must hand
+    consumers the same records the ``replay_trace`` oracle yields."""
 
     def test_engines_write_identical_bytes(self, program, tmp_path):
         step_path = str(tmp_path / "step.fact.gz")
         pre_path = str(tmp_path / "predecoded.fact.gz")
-        count_a = record_trace(program, step_path, engine="step")
-        count_b = record_trace(program, pre_path, engine="predecoded")
+        count_a = record_trace_steps(program, step_path)
+        count_b = record_trace(program, pre_path)
         assert count_a == count_b
         with open(step_path, "rb") as a, open(pre_path, "rb") as b:
             assert a.read() == b.read()

@@ -4,9 +4,11 @@ import pytest
 
 from repro.farm import Cell, plan_jobs
 from repro.farm import jobs as farm_jobs
+from repro.farm.snapshots import analysis_to_snapshot
 from repro.farm.store import ArtifactStore
 from repro.fac import FacConfig
 from repro.pipeline.config import MachineConfig
+from tests.oracles import replay_analysis
 
 BENCH = "eqntott"
 MAX_INSTRUCTIONS = 10_000_000
@@ -178,15 +180,25 @@ class TestColtrace:
                                               MAX_INSTRUCTIONS)
         assert meta["records"] > 0
 
-    def test_engines_share_key_and_snapshot(self, store):
-        key_c, snap_c = farm_jobs.ensure_analysis(
-            store, BENCH, False, MAX_INSTRUCTIONS, engine="columnar")
-        # evict the cached snapshot so the records engine recomputes
-        store.remove("analysis", key_c)
-        key_r, snap_r = farm_jobs.ensure_analysis(
-            store, BENCH, False, MAX_INSTRUCTIONS, engine="records")
-        assert key_c == key_r
-        assert snap_c == snap_r
+    def test_snapshot_matches_scalar_oracle(self, store):
+        """The columnar cell stores exactly the snapshot the scalar
+        oracle gives for the same trace, so the analysis key needs no
+        implementation tag and warm stores stay valid."""
+        _, snapshot = farm_jobs.ensure_analysis(
+            store, BENCH, False, MAX_INSTRUCTIONS)
+        tkey, tmeta = farm_jobs.ensure_trace(store, BENCH, False,
+                                             MAX_INSTRUCTIONS)
+        oracle = replay_analysis(
+            farm_jobs.build_program(BENCH, False),
+            str(store.payload_path("trace", tkey, farm_jobs.TRACE_PAYLOAD)),
+            block_sizes=farm_jobs.ANALYSIS_BLOCK_SIZES,
+            memory_usage=tmeta["memory_usage"], stdout=tmeta["stdout"])
+        assert snapshot == analysis_to_snapshot(oracle, meta={
+            "cell": "analysis",
+            "name": BENCH,
+            "software_support": False,
+            "max_instructions": MAX_INSTRUCTIONS,
+        })
 
     def test_inputs_pinned_while_analysis_in_flight(self, store,
                                                     monkeypatch):

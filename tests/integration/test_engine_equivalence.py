@@ -1,27 +1,31 @@
-"""Whole-stack cross-engine equivalence on a real suite benchmark.
+"""Whole-stack oracle equivalence on a suite benchmark and the FAC
+failure-signal fixtures.
 
-The predecoded fast-dispatch engine must be bit-for-bit equivalent to
-the legacy ``step()`` interpreter everywhere results leave the
-simulator: ``repro.metrics/1`` snapshots, stdout, and tracefile bytes.
-``tools/check_sim_equivalence.py`` runs the same checks over the whole
-suite (the CI ``sim-equivalence`` job); this keeps one benchmark's
-worth in tier-1.
+Every product layer must be bit-for-bit equal to its oracle
+(``tests/oracles.py``) everywhere results leave the simulator: trace
+bytes, executor state, ``repro.metrics/1`` analysis snapshots, and
+timing snapshots on several machines. ``tools/check_sim_equivalence.py``
+runs the same check over the whole suite (the CI ``sim-equivalence``
+job); this keeps one benchmark's worth in tier-1, one test per part of
+``check_program``, plus the four
+``tests/obs/fixtures/sig_*.s`` programs, whose negative index registers
+and large negative constants the kernels rarely reach.
 """
 
-import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.prediction import analyze_program, analyze_trace
-from repro.cpu import CPU
-from repro.cpu.tracefile import record_trace, simulate_trace
-from repro.fac import FacConfig
-from repro.farm.snapshots import analysis_to_snapshot, sim_to_snapshot
-from repro.pipeline import MachineConfig, simulate_program
+from repro.isa.assembler import assemble
+from repro.linker import LinkOptions, link
 from repro.workloads import build_benchmark
+from tests.oracles import check_analysis, check_program, check_sim, check_trace
 
 BENCH = "compress"
 BUDGET = 120_000
+FIXTURE_DIR = Path(__file__).parent.parent / "obs" / "fixtures"
+FIXTURES = ("sig_overflow", "sig_gen_carry", "sig_large_neg_const",
+            "sig_neg_index_reg")
 
 
 @pytest.fixture(scope="module")
@@ -29,62 +33,30 @@ def program():
     return build_benchmark(BENCH, software_support=False)
 
 
-def canon(snapshot):
-    return json.dumps(snapshot, sort_keys=True)
+@pytest.fixture(scope="module")
+def traced(program, tmp_path_factory):
+    """``check_trace`` on the benchmark: (problems, trace path, cpu)."""
+    scratch = tmp_path_factory.mktemp("equivalence")
+    return check_trace(program, BUDGET, str(scratch), label=BENCH)
 
 
-def test_tracefiles_and_state_identical(program, tmp_path):
-    cpus = {}
-    blobs = {}
-    for engine in ("step", "predecoded"):
-        path = tmp_path / f"{engine}.fact.gz"
-        cpu = CPU(program)
-        record_trace(program, str(path), BUDGET, cpu=cpu, engine=engine)
-        cpus[engine] = cpu
-        blobs[engine] = path.read_bytes()
-    assert blobs["step"] == blobs["predecoded"]
-    a, b = cpus["step"], cpus["predecoded"]
-    assert a.state.snapshot() == b.state.snapshot()
-    assert a.stdout() == b.stdout()
-    assert a.instructions_retired == b.instructions_retired
-    assert a.memory_usage == b.memory_usage
+def test_tracefiles_and_state_identical(traced):
+    problems, _, _ = traced
+    assert problems == []
 
 
-def test_analysis_snapshots_identical(program, tmp_path):
-    live = {
-        engine: canon(analysis_to_snapshot(
-            analyze_program(program, per_pc=True, max_instructions=BUDGET,
-                            engine=engine),
-            meta={"cell": "equivalence"}))
-        for engine in ("step", "predecoded")
-    }
-    assert live["step"] == live["predecoded"]
-
-    path = tmp_path / "trace.fact.gz"
-    cpu = CPU(program)
-    record_trace(program, str(path), BUDGET, cpu=cpu)
-    replayed = canon(analysis_to_snapshot(
-        analyze_trace(program, str(path), per_pc=True,
-                      memory_usage=cpu.memory_usage, stdout=cpu.stdout()),
-        meta={"cell": "equivalence"}))
-    assert live["predecoded"] == replayed
+def test_analysis_snapshots_identical(program, traced):
+    _, path, cpu = traced
+    assert check_analysis(program, BUDGET, path, cpu) == []
 
 
-def test_sim_snapshots_identical(program, tmp_path):
-    path = tmp_path / "trace.fact.gz"
-    cpu = CPU(program)
-    record_trace(program, str(path), BUDGET, cpu=cpu)
-    for machine in (MachineConfig(), MachineConfig(fac=FacConfig())):
-        live = {
-            engine: canon(sim_to_snapshot(
-                simulate_program(program, machine, max_instructions=BUDGET,
-                                 engine=engine),
-                meta={"cell": "equivalence"}))
-            for engine in ("step", "predecoded")
-        }
-        assert live["step"] == live["predecoded"]
-        traced = canon(sim_to_snapshot(
-            simulate_trace(program, str(path), machine,
-                           memory_usage=cpu.memory_usage),
-            meta={"cell": "equivalence"}))
-        assert live["predecoded"] == traced
+def test_sim_snapshots_identical(program, traced):
+    _, path, cpu = traced
+    assert check_sim(program, BUDGET, path, cpu) == []
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_signal_fixture_matches_oracles(name, tmp_path):
+    source = (FIXTURE_DIR / f"{name}.s").read_text()
+    program = link([assemble(source, f"{name}.s")], LinkOptions())
+    assert check_program(program, BUDGET, str(tmp_path), label=name) == []

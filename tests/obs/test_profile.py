@@ -1,19 +1,23 @@
 """``repro profile`` consistency: functional analyzer, lint, schema.
 
-The satellite contract: per-PC numbers reported by the profiler agree
-*exactly* with the dynamic analyzer's trace counts on at least three
-suite workloads at both cache geometries (16- and 32-byte blocks), and
-no site the static linter certifies ALWAYS ever shows a misprediction.
+The contract: per-PC numbers and the load-use distance histogram
+reported by the profiler agree *exactly* with the scalar oracles
+(``tests/oracles.py``: the ``step()`` interpreter feeding the
+record-at-a-time analyzer and distance tracker) on three suite
+workloads at both cache geometries (16- and 32-byte blocks), and no
+site the static linter certifies ALWAYS ever shows a misprediction.
 """
 
 from functools import lru_cache
 
 import pytest
 
-from repro.analysis.prediction import analyze_program
 from repro.analysis.reporting import validate_against_schema
+from repro.cpu import CPU
+from repro.obs.metrics import Histogram
 from repro.obs.profile import PROFILE_SCHEMA, profile_program
 from repro.workloads.suite import BENCHMARKS, build_benchmark
+from tests.oracles import DistanceTracker, step_analysis, step_records
 
 WORKLOADS = ("compress", "xlisp", "tomcatv")
 BLOCK_SIZES = (16, 32)
@@ -27,8 +31,8 @@ def profiled(name):
 
 @lru_cache(maxsize=None)
 def analyzed(name):
-    return analyze_program(build_benchmark(name), block_sizes=BLOCK_SIZES,
-                           per_pc=True)
+    return step_analysis(build_benchmark(name), block_sizes=BLOCK_SIZES,
+                         per_pc=True)
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -41,6 +45,17 @@ def test_per_pc_counts_match_dynamic_analyzer(name, block_size):
                        for site in profile.sites}
     assert profiled_counts == {pc: list(pair)
                                for pc, pair in reference.items()}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_load_use_distances_match_oracle(name):
+    reference = Histogram()
+    tracker = DistanceTracker(reference)
+    for rec in step_records(CPU(build_benchmark(name))):
+        tracker.observe(rec)
+    measured = profiled(name).registry.histogram("profile.load_use_distance")
+    assert reference.total
+    assert dict(measured.items()) == dict(reference.items())
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

@@ -28,7 +28,7 @@ def test_sources_compile():
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")
 def test_ruff_clean():
     result = subprocess.run(
-        ["ruff", "check", "src", "tests", "benchmarks"],
+        ["ruff", "check", "src", "tests", "benchmarks", "tools"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
@@ -37,7 +37,7 @@ def test_ruff_clean():
 
 
 def test_no_syntax_errors_in_tests_and_benchmarks():
-    for tree in ("tests", "benchmarks", "examples"):
+    for tree in ("tests", "benchmarks", "examples", "tools"):
         ok = compileall.compile_dir(
             str(REPO_ROOT / tree), quiet=2, maxlevels=10, force=False
         )

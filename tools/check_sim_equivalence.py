@@ -1,117 +1,44 @@
 #!/usr/bin/env python3
-"""Cross-engine equivalence checker: legacy ``step()`` vs predecoded.
+"""Oracle equivalence checker: every simulator layer against its oracle.
 
-For each requested benchmark this verifies, bit for bit:
+For each requested benchmark this runs
+:func:`tests.oracles.check_benchmark`, which verifies bit for bit:
 
-1. ``record_trace`` output bytes under ``engine="step"`` and
-   ``engine="predecoded"`` (plus the executor's final architectural
-   state, stdout, and retired-instruction count),
-2. ``TraceAnalysis`` ``repro.metrics/1`` snapshots from both live
-   engines *and* from replaying the recorded tracefile,
-3. ``SimResult`` snapshots from both live engines and from the
-   trace-replay path, across several machine flavours.
+1. ``record_trace`` output bytes against the ``step()``-driven reference
+   encoder (plus the executor's final architectural state, stdout, and
+   retired-instruction count),
+2. ``TraceAnalysis`` ``repro.metrics/1`` snapshots from the live and the
+   trace-replay analysis against the ``step()`` + scalar-analyzer
+   oracle,
+3. ``SimResult`` snapshots from the live and the trace-replay timing
+   paths against the ``step()``-fed pipeline, across several machine
+   flavours.
 
-Run with no arguments for one representative benchmark (the CI
-``sim-equivalence`` job), name benchmarks explicitly, or pass ``all``
-for the full 19-program suite::
+Run with no arguments for one representative benchmark, name benchmarks
+explicitly, or pass ``all`` for the full 19-program suite (the CI
+``sim-equivalence`` job)::
 
     python tools/check_sim_equivalence.py
     python tools/check_sim_equivalence.py compress tomcatv
-    python tools/check_sim_equivalence.py --max-instructions 500000 all
+    python tools/check_sim_equivalence.py --max-instructions 200000 all
 
-Exits non-zero on the first benchmark with any divergence.
+Exits non-zero when any benchmark diverges.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO), str(REPO / "src")]
 os.environ.setdefault("REPRO_FARM", "off")
 
-from repro.analysis.prediction import analyze_program, analyze_trace
-from repro.cpu.executor import CPU
-from repro.cpu.tracefile import record_trace, simulate_trace
-from repro.fac.config import FacConfig
-from repro.farm.snapshots import analysis_to_snapshot, sim_to_snapshot
-from repro.pipeline.config import MachineConfig
-from repro.pipeline.pipeline import simulate_program
-from repro.workloads.suite import BENCHMARKS, build_benchmark
-
-MACHINES = {
-    "base": MachineConfig(),
-    "fac32": MachineConfig(fac=FacConfig(block_size=32)),
-    "fac16norr": MachineConfig(fac=FacConfig(block_size=16,
-                                             speculate_reg_reg=False)),
-}
-
-
-def canon(snapshot: dict) -> str:
-    return json.dumps(snapshot, sort_keys=True)
-
-
-def check_benchmark(name: str, max_instructions: int, scratch: str) -> list[str]:
-    problems: list[str] = []
-    program = build_benchmark(name, software_support=False)
-
-    # 1. tracefile bytes + final executor state
-    paths = {}
-    cpus = {}
-    for engine in ("step", "predecoded"):
-        path = os.path.join(scratch, f"{name}-{engine}.fact.gz")
-        cpu = CPU(program)
-        record_trace(program, path, max_instructions, cpu=cpu, engine=engine)
-        paths[engine], cpus[engine] = path, cpu
-    with open(paths["step"], "rb") as a, open(paths["predecoded"], "rb") as b:
-        if a.read() != b.read():
-            problems.append("tracefile bytes differ")
-    a, b = cpus["step"], cpus["predecoded"]
-    if (a.instructions_retired != b.instructions_retired
-            or a.stdout() != b.stdout()
-            or a.memory_usage != b.memory_usage
-            or a.state.snapshot() != b.state.snapshot()):
-        problems.append("executor state differs after record_trace")
-
-    # 2. analysis snapshots: live x2 + replay
-    live = {
-        engine: canon(analysis_to_snapshot(
-            analyze_program(program, per_pc=True,
-                            max_instructions=max_instructions,
-                            engine=engine),
-            meta={"cell": "equivalence"}))
-        for engine in ("step", "predecoded")
-    }
-    replayed = canon(analysis_to_snapshot(
-        analyze_trace(program, paths["predecoded"], per_pc=True,
-                      memory_usage=b.memory_usage, stdout=b.stdout()),
-        meta={"cell": "equivalence"}))
-    if live["step"] != live["predecoded"]:
-        problems.append("analysis snapshots differ between live engines")
-    if live["predecoded"] != replayed:
-        problems.append("analysis snapshot differs between live and replay")
-
-    # 3. timing snapshots: live x2 + replay, several flavours
-    for label, machine in MACHINES.items():
-        sims = {
-            engine: canon(sim_to_snapshot(
-                simulate_program(program, machine,
-                                 max_instructions=max_instructions,
-                                 engine=engine),
-                meta={"cell": "equivalence"}))
-            for engine in ("step", "predecoded")
-        }
-        traced = canon(sim_to_snapshot(
-            simulate_trace(program, paths["predecoded"], machine,
-                           memory_usage=b.memory_usage),
-            meta={"cell": "equivalence"}))
-        if sims["step"] != sims["predecoded"]:
-            problems.append(f"sim snapshots differ between engines ({label})")
-        if sims["predecoded"] != traced:
-            problems.append(f"sim snapshot differs live vs replay ({label})")
-    return problems
+from repro.workloads.suite import BENCHMARKS  # noqa: E402
+from tests.oracles import check_benchmark  # noqa: E402
 
 
 def main(argv=None) -> int:
