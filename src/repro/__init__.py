@@ -28,7 +28,7 @@ Quickstart::
 """
 
 from repro.cache import Cache, CacheConfig, StoreBuffer, TLB
-from repro.compiler import CompilerOptions, FacSoftwareOptions, compile_and_link, compile_source
+from repro.compiler.options import CompilerOptions, FacSoftwareOptions
 from repro.cpu import CPU, TraceRecord
 from repro.fac import FacConfig, FastAddressCalculator, Prediction
 from repro.isa import Instruction, Op, assemble, disassemble
@@ -36,6 +36,8 @@ from repro.linker import LinkOptions, link
 from repro.pipeline import MachineConfig, PipelineSimulator, SimResult
 
 __version__ = "1.0.0"
+
+_COMPILER = ("compile_and_link", "compile_source")
 
 __all__ = [
     "Cache",
@@ -62,3 +64,12 @@ __all__ = [
     "SimResult",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # the compiler loads on first use (see repro.compiler)
+    if name in _COMPILER:
+        import repro.compiler
+
+        return getattr(repro.compiler, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,6 +4,8 @@ and the whole-program sanitizer (:mod:`repro.analysis.sanitize`), both
 built on the abstract-interpretation framework
 (:mod:`repro.analysis.absint`)."""
 
+import importlib
+
 from repro.analysis.refclass import (
     OFFSET_BUCKETS,
     ReferenceProfile,
@@ -16,18 +18,19 @@ from repro.analysis.prediction import (
     analyze_program,
     analyze_trace,
 )
-from repro.analysis.static_fac import (
-    StaticAnalysis,
-    Verdict,
-    analyze_static,
-    check_soundness,
-    lint_program,
-)
-from repro.analysis.sanitize import (
-    SanitizeReport,
-    convention_clobbers,
-    sanitize_program,
-)
+# The static analyzer and the sanitizer, with the abstract-interpretation
+# framework under them, load on first use: farm parents and sim workers
+# import this package for the trace analyses alone.
+_LAZY = {
+    "StaticAnalysis": "repro.analysis.static_fac",
+    "Verdict": "repro.analysis.static_fac",
+    "analyze_static": "repro.analysis.static_fac",
+    "check_soundness": "repro.analysis.static_fac",
+    "lint_program": "repro.analysis.static_fac",
+    "SanitizeReport": "repro.analysis.sanitize",
+    "convention_clobbers": "repro.analysis.sanitize",
+    "sanitize_program": "repro.analysis.sanitize",
+}
 
 __all__ = [
     "OFFSET_BUCKETS",
@@ -47,3 +50,11 @@ __all__ = [
     "convention_clobbers",
     "sanitize_program",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -15,12 +15,9 @@ for fast address calculation* (Section 4):
   accesses into zero-offset induction-pointer accesses.
 """
 
-from repro.compiler.driver import (
-    compile_and_link,
-    compile_source,
-    compile_units,
-)
 from repro.compiler.options import CompilerOptions, FacSoftwareOptions
+
+_DRIVER = ("compile_and_link", "compile_source", "compile_units")
 
 __all__ = [
     "CompilerOptions",
@@ -29,3 +26,13 @@ __all__ = [
     "compile_source",
     "compile_units",
 ]
+
+
+def __getattr__(name):
+    # the driver pulls in the whole compiler: load it on first use, so
+    # importing the option records (as farm parents do) stays cheap
+    if name in _DRIVER:
+        from repro.compiler import driver
+
+        return getattr(driver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,11 +2,7 @@
 
 from repro.cpu.executor import CPU, TraceRecord
 from repro.cpu.state import ArchState
-from repro.cpu.tracefile import (
-    record_trace,
-    replay_into,
-    simulate_trace,
-)
+from repro.cpu.tracefile import record_trace, simulate_trace
 
 __all__ = ["CPU", "TraceRecord", "ArchState",
-           "record_trace", "replay_into", "simulate_trace"]
+           "record_trace", "simulate_trace"]

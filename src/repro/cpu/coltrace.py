@@ -2,9 +2,9 @@
 
 The record-stream format (:mod:`repro.cpu.tracefile`) is ideal for
 *writing* -- the functional simulator streams records as they retire --
-but a record replay (:func:`repro.cpu.tracefile.replay_into`) pays one
-Python callback per record. This module decodes a trace **once** into a
-structured set of numpy column arrays (:class:`TraceColumns`):
+but a record-at-a-time reader pays one Python callback per record. This
+module decodes a trace **once** into a structured set of numpy column
+arrays (:class:`TraceColumns`):
 pc-index, effective address, base value, offset, flags, and next pc. Whole-trace analyses
 (:mod:`repro.analysis.batch`) then run as a handful of vectorized
 passes over the columns instead of millions of interpreter callbacks.

@@ -10,6 +10,10 @@ outcome, next pc)`` -- and is replayed against the *same* linked
 program, which supplies the instruction objects. A CRC of the text
 segment guards against replaying a trace into the wrong binary.
 
+Two readers consume the file: :func:`simulate_trace` times it with the
+fused single-pass engine of :mod:`repro.pipeline.replay`, and the
+analyses decode it into columns (:mod:`repro.cpu.coltrace`).
+
 Format: gzip-compressed stream of fixed-size little-endian records after
 a small header. ~19 bytes/record before compression.
 """
@@ -19,9 +23,8 @@ from __future__ import annotations
 import gzip
 import struct
 import zlib
-from repro.cpu.executor import CPU, TraceRecord
+from repro.cpu.executor import CPU
 from repro.errors import SimulationError
-from repro.isa.opcodes import OP_INFO
 from repro.isa.program import Program
 
 _MAGIC = b"FACT"   # Fast Address Calculation Trace
@@ -170,81 +173,18 @@ def validate_header(header: bytes, path: str, program: Program) -> None:
         raise SimulationError(f"{path}: entry point mismatch")
 
 
-def replay_into(program: Program, path: str, consumer) -> int:
-    """Stream a recorded trace into ``consumer``'s trace hooks.
-
-    The consumer protocol matches :meth:`CPU.run_trace`: optional
-    ``trace_plain(pc, inst)`` / ``trace_mem(rec)`` / ``trace_branch(rec)``
-    methods, looked up once. No :class:`TraceRecord` is allocated for
-    plain records (nor for any record whose hook is absent), and the
-    stream is parsed from a buffered window instead of two reads per
-    record. Returns the total number of records in the trace.
-    """
-    instructions = program.instructions
-    text_base = program.text_base
-    plain_cb = getattr(consumer, "trace_plain", None)
-    mem_cb = getattr(consumer, "trace_mem", None)
-    branch_cb = getattr(consumer, "trace_branch", None)
-    # index-register offsets are register *values*: restore the
-    # executor's unsigned view (constants stay signed)
-    is_x = [OP_INFO[inst.op].mem_mode == "x" for inst in instructions]
-    rec_size = _RECORD.size
-    unpack = _RECORD.unpack_from
-    count = 0
-    with gzip.open(path, "rb") as stream:
-        validate_header(_read(stream, _HEADER.size, path), path, program)
-        buf = b""
-        pos = 0
-        while True:
-            if len(buf) - pos < rec_size + 4:
-                buf = buf[pos:] + _read(stream, 1 << 18, path)
-                pos = 0
-                if not buf:
-                    return count
-                if len(buf) < rec_size:
-                    raise SimulationError(f"{path}: truncated trace record")
-            index, ea, base, offset, flags, delta = unpack(buf, pos)
-            pos += rec_size
-            pc = text_base + index * 4
-            if flags & _FLAG_FAR_TARGET:
-                if len(buf) - pos < 4:
-                    buf = buf[pos:] + _read(stream, 1 << 18, path)
-                    pos = 0
-                    if len(buf) < 4:
-                        raise SimulationError(
-                            f"{path}: truncated far-target record"
-                        )
-                next_pc = _U32.unpack_from(buf, pos)[0]
-                pos += 4
-            else:
-                next_pc = pc + delta * 4
-            count += 1
-            if flags & _FLAG_HAS_EA:
-                if mem_cb is not None:
-                    if offset < 0 and is_x[index]:
-                        offset &= 0xFFFFFFFF
-                    mem_cb(TraceRecord(pc, instructions[index], ea, base,
-                                       offset, None, next_pc))
-            elif flags & _FLAG_HAS_TAKEN:
-                if branch_cb is not None:
-                    branch_cb(TraceRecord(pc, instructions[index], None,
-                                          base, offset,
-                                          bool(flags & _FLAG_TAKEN), next_pc))
-            elif plain_cb is not None:
-                plain_cb(pc, instructions[index])
-
-
 def simulate_trace(program: Program, path: str, config=None,
                    memory_usage: int = 0):
     """Time a recorded trace on the pipeline model.
 
-    ``memory_usage`` is not in the trace (it is a property of the
-    functional run, not of any one record); callers that captured it at
-    record time pass it through so the resulting
+    The trace is replayed by the fused single-pass engine
+    (:func:`repro.pipeline.replay.fused_replay`), whose results equal
+    :class:`~repro.pipeline.pipeline.PipelineSimulator`'s for the same
+    records. ``memory_usage`` is not in the trace (it is a property of
+    the functional run, not of any one record); callers that captured it
+    at record time pass it through so the resulting
     :class:`~repro.pipeline.result.SimResult` matches a live
     :func:`~repro.pipeline.pipeline.simulate_program` run exactly."""
-    from repro.pipeline.pipeline import PipelineSimulator
+    from repro.pipeline.replay import fused_replay
 
-    pipe = PipelineSimulator(config)
-    replay_into(program, path, pipe)
-    return pipe.finalize(memory_usage=memory_usage)
+    return fused_replay(program, path, config, memory_usage)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.compiler import CompilerOptions, FacSoftwareOptions
+from repro.compiler.options import CompilerOptions, FacSoftwareOptions
 from repro.farm.fingerprint import (
     FARM_SCHEMA,
     config_digest,

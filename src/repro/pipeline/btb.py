@@ -32,27 +32,35 @@ class BranchTargetBuffer:
         return False, pc + 4
 
     def update(self, pc: int, taken: bool, target: int) -> bool:
-        """Record the outcome; returns True when prediction was correct."""
+        """Record the outcome; returns True when prediction was correct.
+
+        The prediction is :meth:`predict`'s, computed inline: this runs
+        once per retired branch in every timing run."""
         self.lookups += 1
-        predicted_taken, predicted_target = self.predict(pc)
-        correct = (predicted_taken == taken) and (
-            not taken or predicted_target == target
-        )
-        if not correct:
-            self.mispredicts += 1
-        index, tag = self._index(pc)
+        word = pc >> 2
+        index = word % self.entries
+        tag = word // self.entries
+        counters = self._counters
         if self._tags[index] != tag:
+            # predicted not taken
+            correct = not taken
             if taken:
                 self._tags[index] = tag
                 self._targets[index] = target
-                self._counters[index] = 2
+                counters[index] = 2
         else:
-            counter = self._counters[index]
-            if taken:
-                self._counters[index] = min(counter + 1, 3)
-                self._targets[index] = target
+            counter = counters[index]
+            if counter >= 2:
+                correct = taken and self._targets[index] == target
             else:
-                self._counters[index] = max(counter - 1, 0)
+                correct = not taken
+            if taken:
+                counters[index] = counter + 1 if counter < 3 else 3
+                self._targets[index] = target
+            elif counter > 0:
+                counters[index] = counter - 1
+        if not correct:
+            self.mispredicts += 1
         return correct
 
     @property

@@ -197,7 +197,7 @@ class PipelineSimulator:
             klass in self._non_pipelined,       # occupies its unit
             fu in self._unit_free,              # unit has a busy-until
             sources, dests,
-            info.is_load, info.is_store, info.mem_mode == "p",
+            info.is_load, info.is_store,
             klass is OpClass.BRANCH or klass is OpClass.JUMP,
         )
         self._facts[id(inst)] = facts
@@ -213,7 +213,7 @@ class PipelineSimulator:
         if facts is None:
             facts = self._make_facts(inst)
         (_, info, fu, fu_limit, latency, non_pipelined, unit_tracked,
-         sources, dests, is_load, is_store, postinc, is_ctrl) = facts
+         sources, dests, is_load, is_store, is_ctrl) = facts
 
         # ---- fetch constraints ------------------------------------------
         iblock = rec.pc >> self._iblock_shift
@@ -285,9 +285,6 @@ class PipelineSimulator:
                 self._execute_branch(rec, cycle)
         for slot in dests:
             reg_ready[slot] = ready
-        if postinc:
-            # the base-register writeback is a simple ALU result
-            pass  # handled in _execute_memory via dests ordering
 
         self.result.instructions += 1
         if fr is not None:
@@ -352,7 +349,7 @@ class PipelineSimulator:
         if facts is None:
             facts = self._make_facts(inst)
         (_, _, fu, fu_limit, latency, non_pipelined, unit_tracked,
-         sources, dests, _, _, _, _) = facts
+         sources, dests, _, _, _) = facts
 
         # ---- fetch constraints ----
         iblock = pc >> self._iblock_shift

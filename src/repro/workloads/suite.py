@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from repro.compiler import CompilerOptions, FacSoftwareOptions, compile_and_link
+import repro.compiler
+from repro.compiler.options import CompilerOptions, FacSoftwareOptions
 from repro.isa.program import Program
 
 _PROGRAM_DIR = Path(__file__).parent / "programs"
@@ -87,12 +88,20 @@ def load_source(name: str) -> str:
     return (_PROGRAM_DIR / f"{name}.mc").read_text()
 
 
+def __getattr__(name):
+    # ``compile_and_link`` stays readable here; the builds below look it
+    # up on repro.compiler at call time, which loads the compiler lazily
+    if name == "compile_and_link":
+        return repro.compiler.compile_and_link
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @lru_cache(maxsize=64)
 def _build_cached(name: str, software_support: bool) -> Program:
     options = CompilerOptions()
     if software_support:
         options = options.with_fac(FacSoftwareOptions.enabled())
-    return compile_and_link(load_source(name), options)
+    return repro.compiler.compile_and_link(load_source(name), options)
 
 
 def build_benchmark(
@@ -106,5 +115,5 @@ def build_benchmark(
     support; pass explicit ``options`` to override entirely (uncached).
     """
     if options is not None:
-        return compile_and_link(load_source(name), options)
+        return repro.compiler.compile_and_link(load_source(name), options)
     return _build_cached(name, software_support)

@@ -4,16 +4,16 @@ import pytest
 
 from repro.compiler import compile_and_link
 from repro.cpu import CPU
-from repro.cpu.tracefile import (
-    program_crc,
-    record_trace,
-    replay_into,
-    simulate_trace,
-)
+from repro.cpu.tracefile import program_crc, record_trace, simulate_trace
 from repro.errors import SimulationError
 from repro.fac import FacConfig
 from repro.pipeline import MachineConfig, simulate_program
-from tests.oracles import record_trace_steps, replay_trace
+from tests.oracles import (
+    record_trace_steps,
+    replay_into,
+    replay_simulate,
+    replay_trace,
+)
 
 SOURCE = """
 int v[64];
@@ -126,6 +126,8 @@ class TestEngines:
         other = compile_and_link("int main() { return 1; }")
         with pytest.raises(SimulationError, match="different program"):
             replay_into(other, trace_path, object())
+        with pytest.raises(SimulationError, match="different program"):
+            simulate_trace(other, trace_path)
 
     def test_replay_into_truncated_record(self, program, tmp_path):
         import gzip
@@ -139,6 +141,8 @@ class TestEngines:
             stream.write(header + _RECORD.pack(0, 0, 0, 0, 0, 1)[:5])
         with pytest.raises(SimulationError, match="truncated trace record"):
             replay_into(program, path, object())
+        with pytest.raises(SimulationError, match="truncated trace record"):
+            simulate_trace(program, path)
 
 
 class TestValidation:
@@ -221,6 +225,7 @@ class TestCorruptTraces:
         assert records[0].next_pc == far_pc
         assert records[0].pc == program.text_base
         assert records[0].inst is program.instructions[0]
+        assert simulate_trace(program, path).instructions == 1
 
     def test_recorded_far_target_survives_roundtrip(self, tmp_path):
         # jr through a register lands far from the sequential pc, which
@@ -251,6 +256,8 @@ class TestCorruptTraces:
         assert [r.next_pc for r in replayed] == [r.next_pc for r in live]
         assert any(abs(r.next_pc - r.pc) >= 2**17 for r in replayed), \
             "test program no longer exercises " + str(_FLAG_FAR_TARGET)
+        assert simulate_trace(program, path).as_dict() == \
+            replay_simulate(program, path).as_dict()
 
     def test_truncated_far_target_word_rejected(self, program, tmp_path):
         from repro.cpu.tracefile import _FLAG_FAR_TARGET
@@ -262,6 +269,8 @@ class TestCorruptTraces:
             + b"\x01\x02")
         with pytest.raises(SimulationError, match="truncated far-target"):
             list(replay_trace(program, path))
+        with pytest.raises(SimulationError, match="truncated far-target"):
+            simulate_trace(program, path)
 
     def test_not_gzip_rejected(self, program, tmp_path):
         path = str(tmp_path / "plain.fact.gz")

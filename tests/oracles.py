@@ -12,7 +12,10 @@ throughput benchmarks:
 * :func:`record_trace_steps` is the record-at-a-time trace encoder (the
   oracle of the streaming :func:`repro.cpu.tracefile.record_trace`);
 * :func:`replay_trace` iterates a trace file as records (the oracle of
-  :func:`repro.cpu.tracefile.replay_into` and the columnar decoder);
+  :func:`replay_into` and the columnar decoder);
+* :func:`replay_into` streams a trace file into a ``CPU.run_trace``
+  consumer, and :func:`replay_simulate` feeds it to the pipeline model
+  (the oracle of the fused :func:`repro.cpu.tracefile.simulate_trace`);
 * :class:`DistanceTracker` is the scalar load-use distance pass (the
   oracle of :func:`repro.analysis.batch.load_use_distances`);
 * :func:`check_program` / :func:`check_benchmark` run the whole-stack
@@ -47,6 +50,7 @@ from repro.cpu.tracefile import (
     _HEADER,
     _MAGIC,
     _RECORD,
+    _U32,
     _VERSION,
     _read,
     program_crc,
@@ -296,6 +300,80 @@ def replay_trace(program: Program, path: str) -> Iterator[TraceRecord]:
                 ea if flags & _FLAG_HAS_EA else None,
                 base, offset, taken, next_pc,
             )
+
+
+def replay_into(program: Program, path: str, consumer) -> int:
+    """Stream a recorded trace into ``consumer``'s trace hooks.
+
+    The consumer protocol matches :meth:`CPU.run_trace`: optional
+    ``trace_plain(pc, inst)`` / ``trace_mem(rec)`` / ``trace_branch(rec)``
+    methods, looked up once. No :class:`TraceRecord` is allocated for
+    plain records (nor for any record whose hook is absent), and the
+    stream is parsed from a buffered window instead of two reads per
+    record. Returns the total number of records in the trace.
+    """
+    instructions = program.instructions
+    text_base = program.text_base
+    plain_cb = getattr(consumer, "trace_plain", None)
+    mem_cb = getattr(consumer, "trace_mem", None)
+    branch_cb = getattr(consumer, "trace_branch", None)
+    # index-register offsets are register *values*: restore the
+    # executor's unsigned view (constants stay signed)
+    is_x = [OP_INFO[inst.op].mem_mode == "x" for inst in instructions]
+    rec_size = _RECORD.size
+    unpack = _RECORD.unpack_from
+    count = 0
+    with gzip.open(path, "rb") as stream:
+        validate_header(_read(stream, _HEADER.size, path), path, program)
+        buf = b""
+        pos = 0
+        while True:
+            if len(buf) - pos < rec_size + 4:
+                buf = buf[pos:] + _read(stream, 1 << 18, path)
+                pos = 0
+                if not buf:
+                    return count
+                if len(buf) < rec_size:
+                    raise SimulationError(f"{path}: truncated trace record")
+            index, ea, base, offset, flags, delta = unpack(buf, pos)
+            pos += rec_size
+            pc = text_base + index * 4
+            if flags & _FLAG_FAR_TARGET:
+                if len(buf) - pos < 4:
+                    buf = buf[pos:] + _read(stream, 1 << 18, path)
+                    pos = 0
+                    if len(buf) < 4:
+                        raise SimulationError(
+                            f"{path}: truncated far-target record"
+                        )
+                next_pc = _U32.unpack_from(buf, pos)[0]
+                pos += 4
+            else:
+                next_pc = pc + delta * 4
+            count += 1
+            if flags & _FLAG_HAS_EA:
+                if mem_cb is not None:
+                    if offset < 0 and is_x[index]:
+                        offset &= 0xFFFFFFFF
+                    mem_cb(TraceRecord(pc, instructions[index], ea, base,
+                                       offset, None, next_pc))
+            elif flags & _FLAG_HAS_TAKEN:
+                if branch_cb is not None:
+                    branch_cb(TraceRecord(pc, instructions[index], None,
+                                          base, offset,
+                                          bool(flags & _FLAG_TAKEN), next_pc))
+            elif plain_cb is not None:
+                plain_cb(pc, instructions[index])
+
+
+def replay_simulate(program: Program, path: str,
+                    config: MachineConfig | None = None,
+                    memory_usage: int = 0):
+    """Oracle of :func:`repro.cpu.tracefile.simulate_trace`: the
+    recorded trace replayed record by record into the pipeline model."""
+    pipe = PipelineSimulator(config)
+    replay_into(program, path, pipe)
+    return pipe.finalize(memory_usage=memory_usage)
 
 
 # ------------------------------------------------------------------ #

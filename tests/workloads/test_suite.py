@@ -1,6 +1,11 @@
 """Benchmark-suite tests: every kernel compiles, runs, and is
 deterministic under both compiler configurations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cpu import CPU
@@ -21,6 +26,25 @@ def test_names_match_paper_table2():
         "spice", "su2cor", "tomcatv",
     }
     assert set(BENCHMARKS) == expected
+
+
+def test_farm_parent_imports_no_compiler():
+    # a sweep parent plans jobs and forks workers; the compiler (and the
+    # static analyzer, which no sweep cell runs) load on first use
+    root = Path(__file__).resolve().parents[2]
+    code = (
+        "import sys\n"
+        "import repro.experiments.common, repro.farm.api, repro.farm.jobs\n"
+        "import repro.workloads.suite as suite\n"
+        "print('repro.compiler.driver' in sys.modules)\n"
+        "print('repro.analysis.static_fac' in sys.modules)\n"
+        "suite.compile_and_link\n"
+        "print('repro.compiler.driver' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 def test_load_source_unknown():
